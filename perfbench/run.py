@@ -62,19 +62,29 @@ def fingerprint() -> Dict[str, object]:
 
 
 def percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (``fraction`` in (0, 1])."""
+    """The ``fraction`` quantile of ``values``, interpolated between samples.
+
+    Unlike a nearest-rank percentile it estimates the same quantile whatever
+    the sample count: the 90th percentile of ten samples is not their
+    maximum, and one more sample moves it by a fraction of a gap.
+    """
+    if len(values) == 1:
+        return values[0]
     ordered = sorted(values)
-    rank = math.ceil(round(fraction * len(ordered), 9))
-    return ordered[min(max(rank, 1), len(ordered)) - 1]
+    position = fraction * (len(ordered) - 1)
+    low = math.floor(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
 def end_to_end(run) -> Dict[str, float]:
     """The end-to-end metrics of one run (all measured with tracing off).
 
-    Timings are reported at the 90th percentile, not the median or the mean:
-    on a host whose cores switch between two speeds, those of identical work
-    jump between the speeds from run to run, while an upper percentile of
-    samples spread over the run stays at the slower one.
+    Timings are 90th percentiles of samples spread over the run, not medians
+    or means: on a host whose cores switch between two speeds for tens of
+    seconds at a time, the median of identical work jumps between the speeds
+    from run to run, while an upper percentile stays near the slower speed,
+    which nearly every run visits.
     """
     publish_ms = [seconds * 1e3 for seconds in run.publish_s]
     # churn-repair times the wave's repair; the other workloads repair only
@@ -160,6 +170,7 @@ def execute(workload: str, seed: int, seconds: float, trace: bool,
         "problems": run.problems, "rounds": run.rounds, "drive_s": drive_s,
         "publish_samples": len(publish_ms),
         "publish_p99_ms": percentile(publish_ms, 0.99),
+        "setup_samples": len(run.setup_s),
         "repair_samples": len(run.repair_s or run.bootstrap_repair_s),
         "recovery_samples": len(run.recovery_s),
         "seeded_probes": run.seeded_probes, "fault_misses": run.fault_misses,

@@ -2,15 +2,15 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/steady.py check [--runs 10] [--workloads a,b] [--first-seed 1]
+    python3 perfbench/steady.py check [--runs 10]
     python3 perfbench/steady.py reference [--runs 5]
 
-``check`` runs each workload ``--runs`` times, one seed per run, untraced,
-and prints every end-to-end metric's median, quartiles and spread (the
-distance between the quartiles as a share of the median) next to its bound
-from ``BENCHMARK.json``.  It exits non-zero when a run is incorrect, when
-the failed share differs between runs, or when a spread other than
-``setup_s``'s exceeds its bound.
+``check`` runs each workload of ``BENCHMARK.json`` ``--runs`` times with
+seeds 1 to ``--runs``, untraced, and prints every end-to-end metric's
+median, quartiles and spread (the distance between the quartiles as a share
+of the median) next to its bound from ``BENCHMARK.json``.  It exits non-zero
+when a run is incorrect, when the failed share differs between runs, or
+when a spread exceeds its bound.
 
 ``reference`` makes the same untraced runs plus one traced run per workload
 and rewrites the reference section of ``perfbench/README.md`` with them.
@@ -87,8 +87,8 @@ def summarize(config: dict, runs: Dict[str, List[Tuple[dict, dict]]]) -> Tuple[s
             median, q1, q3, width = spread(values)
             flag = ""
             if width > metric["bound"]:
-                flag = "  over bound" if name != "setup_s" else "  (setup_s: not gated)"
-                ok &= name == "setup_s"
+                flag = "  over bound"
+                ok = False
             elif width > metric["bound"] / 3:
                 flag = "  over a third of bound"
             lines.append(f"  {name:20} {median:12.5g} {q1:12.5g} {q3:12.5g} "
@@ -161,15 +161,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=("check", "reference"))
     parser.add_argument("--runs", type=int, default=None)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated subset (default: all)")
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     config = load_config()
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in config["workloads"]])
-    count = args.runs or (10 if args.command == "check" else 5)
-    seeds = list(range(args.first_seed, args.first_seed + count))
+    workloads = [workload["name"] for workload in config["workloads"]]
+    seeds = list(range(1, (args.runs or (10 if args.command == "check" else 5)) + 1))
     seconds = config["run_seconds"]
     runs = collect(workloads, seeds, seconds, trace=0)
     table, ok = summarize(config, runs)
